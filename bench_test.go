@@ -463,6 +463,56 @@ func BenchmarkScalingConfWSD(b *testing.B) {
 	}
 }
 
+// BenchmarkScalingSQLClosure sends whole-table CONF and a selective CERTAIN
+// as I-SQL through CompactDB.Exec over a repair-by-key table of n
+// two-alternative components — the statement path, componentwise stage and
+// closure fold included, where ScalingConfWSD probes one tuple through the
+// API. Both closures should grow linearly in n.
+func BenchmarkScalingSQLClosure(b *testing.B) {
+	for _, n := range []int{1000, 10000, 100000} {
+		cdb := OpenCompact()
+		if err := cdb.Register("Dirty", []string{"K", "V", "W"}, dirtyRows(n)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cdb.Exec("create table Clean as select K, V, W from Dirty repair by key K weight W"); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("components=%d/conf", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := cdb.Exec("select K, V, conf from Clean")
+				if err != nil {
+					b.Fatal(err)
+				}
+				rel := res.First()
+				if rel.Len() != 2*n {
+					b.Fatalf("conf answer has %d rows, want %d", rel.Len(), 2*n)
+				}
+				found := false
+				for _, t := range rel.Rows() {
+					if t[0].AsFloat() == 0 && t[1].AsFloat() == 1 {
+						found = math.Abs(t[2].AsFloat()-0.75) <= 1e-9
+						break
+					}
+				}
+				if !found {
+					b.Fatal("wrong confidence for (0, 1)")
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("components=%d/certain", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := cdb.Exec("select certain K from Clean where K < 100")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := res.First().Len(); got != 100 {
+					b.Fatalf("certain answer has %d rows, want 100", got)
+				}
+			}
+		})
+	}
+}
+
 // componentwiseDB builds a compact database with n two-alternative repair
 // components (2^n worlds) and the componentwise path toggled.
 func componentwiseDB(b *testing.B, n int, componentwise bool) *CompactDB {

@@ -32,6 +32,18 @@ package wsd
 // byte space as tuple.Encode, so first-appearance order, grouping and
 // hash-collision behavior are untouched — and assemble their output by
 // column-wise gather, materializing rows once at the end.
+//
+// CERTAIN and CONF need, per answer tuple, the (component, alternative)
+// parts that contain it. A posting index records exactly those pairs while
+// interning the part rows, and each tuple is folded over its own postings:
+// CONF multiplies miss ·= 1 − p_c over the components that hold the tuple,
+// CERTAIN asks whether one of them lists it under every alternative. The
+// closure therefore costs O(Σ|part|), the size of the part answers, not
+// O(tuples × Σ alternatives). The confidences are bit-identical to the
+// dense fold over every component: a component without the tuple has
+// p_c = 0 and multiplies miss by 1 − 0 = 1.0 exactly, so skipping it
+// changes no bit as long as the remaining factors keep component order and
+// each p_c keeps alternative order.
 
 import (
 	"errors"
@@ -235,46 +247,92 @@ func (p *componentParts) emitParts(fn func(b *colbatch.Batch)) error {
 	return nil
 }
 
-// keySetIndex interns every distinct tuple key appearing in some part —
-// one key-string allocation per distinct tuple, not per (tuple, part) —
-// and records per component, per alternative, membership of the dense ids.
-type keySetIndex struct {
-	ids  map[string]int32
-	sets [][]map[int32]struct{}
+// posting is one (component, alternative) pair whose part answer contains
+// a tuple; comp indexes the parts slice the index was built from. next
+// links to the tuple's following posting, -1 at the end of its list.
+type posting struct{ comp, alt, next int32 }
+
+// postingIndex interns every distinct tuple key appearing in some part —
+// one key-string allocation per distinct tuple, not per (tuple, part) — and
+// lists per dense tuple id the (component, alternative) pairs whose part
+// contains the tuple, ascending: head[id] is the first posting, tail[id]
+// the last, both -1 while id has none (a tuple outside every part,
+// interned after the build). A row repeated inside one part is posted
+// once. Building reads every part row once, and the closure folds visit
+// each tuple's own postings only, so a closure costs O(Σ|part|) — the size
+// of the answers the componentwise stage already produced — instead of
+// probing every alternative of every component per tuple.
+type postingIndex struct {
+	ids        map[string]int32
+	head, tail []int32
+	post       []posting
+	// seen marks the ids a closure fold has already emitted.
+	seen []bool
+}
+
+// buildPostings indexes every part answer (parts[i][a] is component i at
+// alternative a), polling the Interrupt hook once per part. Parts are
+// scanned in (component, alternative) order, so appending each posting to
+// its tuple's list keeps every list ascending.
+func buildPostings(d *WSD, parts [][]*colbatch.Batch) (*postingIndex, error) {
+	rows := 0
+	for _, alts := range parts {
+		for _, b := range alts {
+			rows += b.Len()
+		}
+	}
+	ix := &postingIndex{ids: map[string]int32{}, post: make([]posting, 0, rows)}
+	var buf []byte
+	for i, alts := range parts {
+		for a, b := range alts {
+			if err := d.interrupted(); err != nil {
+				return nil, err
+			}
+			for r, n := 0, b.Len(); r < n; r++ {
+				buf = b.AppendKey(buf[:0], r)
+				id := ix.intern(buf)
+				last := ix.tail[id]
+				if last >= 0 && ix.post[last].comp == int32(i) && ix.post[last].alt == int32(a) {
+					continue
+				}
+				k := int32(len(ix.post))
+				ix.post = append(ix.post, posting{int32(i), int32(a), -1})
+				if last >= 0 {
+					ix.post[last].next = k
+				} else {
+					ix.head[id] = k
+				}
+				ix.tail[id] = k
+			}
+		}
+	}
+	return ix, nil
 }
 
 // intern returns the dense id of the scratch-encoded key, materializing
-// the key string only on first sight.
-func (ix *keySetIndex) intern(buf []byte) int32 {
+// the key string only on first sight. A new id starts with no postings
+// and unseen.
+func (ix *postingIndex) intern(buf []byte) int32 {
 	if id, ok := ix.ids[string(buf)]; ok {
 		return id
 	}
 	id := int32(len(ix.ids))
 	ix.ids[string(buf)] = id
+	ix.head = append(ix.head, -1)
+	ix.tail = append(ix.tail, -1)
+	ix.seen = append(ix.seen, false)
 	return id
 }
 
-// keySets indexes the key sets of every part's answer, polling the
-// Interrupt hook once per part.
-func (p *componentParts) keySets() (*keySetIndex, error) {
-	ix := &keySetIndex{ids: map[string]int32{}, sets: make([][]map[int32]struct{}, len(p.parts))}
-	var buf []byte
-	for i, alts := range p.parts {
-		ix.sets[i] = make([]map[int32]struct{}, len(alts))
-		for a, b := range alts {
-			if err := p.d.interrupted(); err != nil {
-				return nil, err
-			}
-			n := b.Len()
-			set := make(map[int32]struct{}, n)
-			for r := 0; r < n; r++ {
-				buf = b.AppendKey(buf[:0], r)
-				set[ix.intern(buf)] = struct{}{}
-			}
-			ix.sets[i][a] = set
-		}
+// visit interns the scratch-encoded key and reports whether this is the
+// fold's first visit of the tuple.
+func (ix *postingIndex) visit(buf []byte) (int32, bool) {
+	id := ix.intern(buf)
+	if ix.seen[id] {
+		return id, false
 	}
-	return ix, nil
+	ix.seen[id] = true
+	return id, true
 }
 
 // possibleFromParts computes the POSSIBLE closure: every tuple in some
@@ -306,34 +364,31 @@ func possibleFromParts(p *componentParts) (*relation.Relation, error) {
 
 // certainFromParts computes the CERTAIN closure: a tuple is in every world
 // iff it is in the certain-only answer or some component contributes it
-// under *every* alternative — by independence, the exact criterion. The
-// order is the first world's answer order (the naive engine intersects
-// into the first world's deduplicated answer).
+// under *every* alternative — by independence, the exact criterion. A
+// tuple's postings are deduplicated per part, so a component lists it under
+// all alternatives iff it has as many postings as alternatives. The order
+// is the first world's answer order (the naive engine intersects into the
+// first world's deduplicated answer).
 func certainFromParts(p *componentParts) (*relation.Relation, error) {
-	ix, err := p.keySets()
+	ix, err := buildPostings(p.d, p.parts)
 	if err != nil {
 		return nil, err
 	}
 	ub := newUnionBuilder(p.world0)
-	seen := make(map[int32]struct{}, p.world0.Len())
 	var buf []byte
 	var sel []int32
 	for r, n := 0, p.world0.Len(); r < n; r++ {
 		buf = p.world0.AppendKey(buf[:0], r)
-		id := ix.intern(buf)
-		if _, dup := seen[id]; dup {
+		id, first := ix.visit(buf)
+		if !first {
 			continue
 		}
-		seen[id] = struct{}{}
-		for i := range ix.sets {
-			all := true
-			for _, set := range ix.sets[i] {
-				if _, ok := set[id]; !ok {
-					all = false
-					break
-				}
+		for k := ix.head[id]; k >= 0; {
+			c, alts := ix.post[k].comp, 0
+			for ; k >= 0 && ix.post[k].comp == c; k = ix.post[k].next {
+				alts++
 			}
-			if all {
+			if alts == len(p.parts[c]) {
 				sel = append(sel, int32(r))
 				break
 			}
@@ -348,45 +403,46 @@ func certainFromParts(p *componentParts) (*relation.Relation, error) {
 // total probability of component c's alternatives whose part contains the
 // tuple. A tuple in the certain-only answer is in every part, making every
 // p_c = 1 and the confidence 1. Tuple order is the possible order.
+//
+// The product runs over the components that post the tuple only, in
+// component order, each p_c summed in alternative order. That is
+// bit-identical to the dense product over every component: a component
+// without the tuple has p_c = 0 and contributes the factor 1 − 0 = 1.0
+// exactly, and miss·1.0 = miss in IEEE arithmetic.
 func confFromParts(p *componentParts) (*relation.Relation, error) {
-	ix, err := p.keySets()
+	ix, err := buildPostings(p.d, p.parts)
 	if err != nil {
 		return nil, err
 	}
 	ub := newUnionBuilder(p.world0)
-	seen := make(map[int32]struct{}, len(ix.ids))
 	var buf []byte
 	var sel []int32
 	var confs []float64
 	err = p.emitParts(func(b *colbatch.Batch) {
 		sel = sel[:0]
 		for r, n := 0, b.Len(); r < n; r++ {
-			// Part rows were interned by keySets, so the probe allocates
-			// only for world0-only tuples.
+			// Part rows were interned by buildPostings, so the probe
+			// allocates only for world0-only tuples.
 			buf = b.AppendKey(buf[:0], r)
-			id := ix.intern(buf)
-			if _, dup := seen[id]; dup {
+			id, first := ix.visit(buf)
+			if !first {
 				continue
 			}
-			seen[id] = struct{}{}
-			miss := 1.0
-			last := 0.0
-			for i := range ix.sets {
-				pc := 0.0
-				for a, set := range ix.sets[i] {
-					if _, ok := set[id]; ok {
-						pc += p.probs[i][a]
-					}
+			miss, pc := 1.0, 0.0
+			for k := ix.head[id]; k >= 0; {
+				c := ix.post[k].comp
+				pc = 0.0
+				for ; k >= 0 && ix.post[k].comp == c; k = ix.post[k].next {
+					pc += p.probs[c][ix.post[k].alt]
 				}
 				miss *= 1 - pc
-				last = pc
 			}
 			conf := 1 - miss
-			if len(ix.sets) == 1 {
+			if len(p.parts) == 1 {
 				// A single component's confidence is the plain probability sum,
 				// accumulated in alternative order — bit-identical to the merge
 				// path and the naive engine (1 − (1 − p) would lose ulps).
-				conf = last
+				conf = pc
 			}
 			if conf > 1 {
 				conf = 1 // clamp float accumulation noise

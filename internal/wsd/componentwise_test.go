@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"maybms/internal/core"
+	"maybms/internal/obs"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/sqlparse"
@@ -539,6 +540,53 @@ func TestAssertInterruptInsideIterators(t *testing.T) {
 	}
 	if polls > 64 {
 		t.Errorf("interrupt polled %d times before aborting", polls)
+	}
+}
+
+// TestConfClosureInterrupt: an Interrupt that fires only once the closure
+// stage of a 10^4-component CONF has begun — the componentwise evaluations
+// are all done — aborts the posting build with the interrupt error and
+// returns no partial answer.
+func TestConfClosureInterrupt(t *testing.T) {
+	const n = 10000
+	d := New(true)
+	dirty := relation.New(schema.New("K", "V", "W"))
+	for k := 0; k < n; k++ {
+		dirty.MustAppend(row(k, 0, 1))
+		dirty.MustAppend(row(k, 1, 3))
+	}
+	if err := d.PutCertain("R", dirty); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RepairByKey("R", "I", []string{"K"}, "W"); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.ComponentCount(); got != n {
+		t.Fatalf("components = %d, want %d", got, n)
+	}
+	const sql = "select K, V, conf from I"
+	core, cl := parseCore(t, sql)
+	boom := errors.New("boom")
+	tr := obs.NewTrace(sql)
+	d.Trace = tr
+	d.Interrupt = func() error {
+		for _, sp := range tr.JSON().Spans {
+			if sp.Name == "closure" {
+				return boom
+			}
+		}
+		return nil
+	}
+	before := d.ComponentwiseCount()
+	rel, err := d.SelectClosure(core, cl)
+	if !errors.Is(err, boom) {
+		t.Fatalf("interrupted conf = %v, want boom", err)
+	}
+	if rel != nil {
+		t.Fatalf("interrupted conf returned a partial answer of %d rows", rel.Len())
+	}
+	if d.ComponentwiseCount() != before+1 {
+		t.Fatal("the interrupt fired before the componentwise stage finished")
 	}
 }
 

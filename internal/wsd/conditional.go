@@ -32,6 +32,12 @@ package wsd
 //     p_c(t) = Σ_a P(a)·(t ∈ part_c(a) ? 1 : 1 − Π_ch (1 − p_ch(t)))
 //     over the children ch conditioned on a.
 //
+// Both recursions run per tuple over the flat closures' posting index (see
+// componentwise.go) and descend only into the subtrees that hold a posting
+// of the tuple: a posting-free subtree has p(t) = 0.0 exactly and never
+// always-contributes, so pruning it changes neither the CERTAIN answer nor
+// a single conf bit.
+//
 // The flat decomposition never reaches this file: SelectClosure routes
 // here only when the touched components involve tree structure
 // (treeInvolved), so the PR 8 componentwise path — order, probabilities,
@@ -50,7 +56,9 @@ package wsd
 // blanket ErrPerWorld refusal for concat plans, flat and nested alike.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -73,10 +81,10 @@ func condSchema() *schema.Schema { return schema.New("cond") }
 type conditionalParts struct {
 	d        *WSD
 	relevant []int // component indexes: root closure of the touched set, ascending
-	roots    []int // positions (into relevant) of the top-level components
-	// children[i][a] lists positions (into relevant) of the children of
-	// (relevant[i], alternative a).
-	children [][][]int
+	// parent[i] is the position (into relevant) of relevant[i]'s parent, -1
+	// for a top-level component; parentAlt[i] its conditioning alternative.
+	parent    []int32
+	parentAlt []int32
 	// parts[i][a] is the answer with only (relevant[i], a)'s contributions
 	// visible; probs[i][a] the alternative's probability.
 	parts [][]*colbatch.Batch
@@ -145,24 +153,23 @@ func (d *WSD) queryConditional(touched []int, query func(cat plan.Catalog) (*col
 		pos[ci] = i
 	}
 	p := &conditionalParts{
-		d:        d,
-		relevant: relevant,
-		children: make([][][]int, len(relevant)),
-		parts:    make([][]*colbatch.Batch, len(relevant)),
-		probs:    make([][]float64, len(relevant)),
+		d:         d,
+		relevant:  relevant,
+		parent:    make([]int32, len(relevant)),
+		parentAlt: make([]int32, len(relevant)),
+		parts:     make([][]*colbatch.Batch, len(relevant)),
+		probs:     make([][]float64, len(relevant)),
 	}
 	for i, ci := range relevant {
 		c := d.comps[ci]
-		p.children[i] = make([][]int, len(c.Alts))
 		p.probs[i] = make([]float64, len(c.Alts))
 		for a := range c.Alts {
 			p.probs[i][a] = c.Alts[a].Prob
 		}
-		if c.Parent < 0 {
-			p.roots = append(p.roots, i)
-		} else {
-			pi := pos[byID[c.Parent]]
-			p.children[pi][c.ParentAlt] = append(p.children[pi][c.ParentAlt], i)
+		p.parent[i] = -1
+		if c.Parent >= 0 {
+			p.parent[i] = int32(pos[byID[c.Parent]])
+			p.parentAlt[i] = int32(c.ParentAlt)
 		}
 	}
 
@@ -217,29 +224,6 @@ func (d *WSD) queryConditional(touched []int, query func(cat plan.Catalog) (*col
 	return p, nil
 }
 
-// keySets indexes the key sets of every part answer, like
-// componentParts.keySets.
-func (p *conditionalParts) keySets() (*keySetIndex, error) {
-	ix := &keySetIndex{ids: map[string]int32{}, sets: make([][]map[int32]struct{}, len(p.parts))}
-	var buf []byte
-	for i, alts := range p.parts {
-		ix.sets[i] = make([]map[int32]struct{}, len(alts))
-		for a, b := range alts {
-			if err := p.d.interrupted(); err != nil {
-				return nil, err
-			}
-			n := b.Len()
-			set := make(map[int32]struct{}, n)
-			for r := 0; r < n; r++ {
-				buf = b.AppendKey(buf[:0], r)
-				set[ix.intern(buf)] = struct{}{}
-			}
-			ix.sets[i][a] = set
-		}
-	}
-	return ix, nil
-}
-
 // possible computes the POSSIBLE closure: every tuple of some deviation
 // world's answer, in the naive engine's first-appearance order.
 func (p *conditionalParts) possible() (*relation.Relation, error) {
@@ -265,41 +249,110 @@ func (p *conditionalParts) possible() (*relation.Relation, error) {
 	return ub.finish(p.devs[0].Schema), nil
 }
 
-// always reports whether the subtree rooted at relevant position i
-// contributes the tuple under every assignment (given the root is
-// active).
-func (p *conditionalParts) always(ix *keySetIndex, i int, id int32) bool {
-	for a, set := range ix.sets[i] {
-		if _, ok := set[id]; ok {
-			continue
-		}
-		ok := false
-		for _, ch := range p.children[i][a] {
-			if p.always(ix, ch, id) {
-				ok = true
+// treeFold evaluates the certain/conf recursions for one tuple at a time
+// over the tuple's own postings. load walks each posting up to its root,
+// collecting the tree edges that lead to a posting — (component,
+// alternative) pairs whose part contains the tuple, and (parent,
+// conditioning alternative, child) links on the way up — so the recursions
+// descend only into subtrees holding a posting. A fold's cost is the
+// tuple's postings times the tree depth, not Σ alternatives.
+type treeFold struct {
+	p  *conditionalParts
+	ix *postingIndex
+	// edges are the loaded tuple's edges sorted by (comp, alt, child); a
+	// posting has child -1 and sorts before the links of its alternative.
+	edges []treeEdge
+	// roots are the loaded tuple's hit top-level positions, ascending.
+	roots []int32
+	// mark[i] is 1 + the id of the last tuple whose walk reached position
+	// i; first[i] is then i's first edge.
+	mark  []int32
+	first []int32
+}
+
+// treeEdge is a posting (child -1) or a link from (comp, alt) to a child
+// subtree holding a posting.
+type treeEdge struct{ comp, alt, child int32 }
+
+func (p *conditionalParts) newTreeFold(ix *postingIndex) *treeFold {
+	return &treeFold{p: p, ix: ix, mark: make([]int32, len(p.parts)), first: make([]int32, len(p.parts))}
+}
+
+// load prepares the fold for tuple id.
+func (f *treeFold) load(id int32) {
+	f.edges, f.roots = f.edges[:0], f.roots[:0]
+	stamp := id + 1
+	for k := f.ix.head[id]; k >= 0; k = f.ix.post[k].next {
+		ps := f.ix.post[k]
+		f.edges = append(f.edges, treeEdge{ps.comp, ps.alt, -1})
+		for cur := ps.comp; f.mark[cur] != stamp; {
+			f.mark[cur] = stamp
+			up := f.p.parent[cur]
+			if up < 0 {
+				f.roots = append(f.roots, cur)
 				break
+			}
+			f.edges = append(f.edges, treeEdge{up, f.p.parentAlt[cur], cur})
+			cur = up
+		}
+	}
+	slices.SortFunc(f.edges, func(x, y treeEdge) int {
+		return cmp.Or(cmp.Compare(x.comp, y.comp), cmp.Compare(x.alt, y.alt), cmp.Compare(x.child, y.child))
+	})
+	slices.Sort(f.roots)
+	for k := len(f.edges) - 1; k >= 0; k-- {
+		f.first[f.edges[k].comp] = int32(k)
+	}
+}
+
+// always reports whether the subtree rooted at hit position i contributes
+// the loaded tuple under every assignment (given the root is active): every
+// alternative either posts it or conditions a child subtree that always
+// does. An alternative without edges does neither, since a posting-free
+// subtree never contributes.
+func (f *treeFold) always(i int32) bool {
+	e := f.edges
+	covered := 0
+	for k := int(f.first[i]); k < len(e) && e[k].comp == i; {
+		a := e[k].alt
+		ok := e[k].child < 0
+		for ; k < len(e) && e[k].comp == i && e[k].alt == a; k++ {
+			if !ok && f.always(e[k].child) {
+				ok = true
 			}
 		}
 		if !ok {
 			return false
 		}
+		covered++
 	}
-	return true
+	return covered == len(f.p.probs[i])
 }
 
-// prob returns the probability that the subtree rooted at relevant
-// position i contributes the tuple (given the root is active).
-func (p *conditionalParts) prob(ix *keySetIndex, i int, id int32) float64 {
+// prob returns the probability that the subtree rooted at hit position i
+// contributes the loaded tuple (given the root is active):
+// Σ_a P(a)·(posted ? 1 : 1 − Π_ch (1 − p_ch)), alternatives ascending and
+// children ascending. Skipping the posting-free parts of the tree leaves
+// every bit of the dense recursion unchanged for finite probabilities: a
+// posting-free subtree has probability 0.0 exactly, so a skipped child
+// multiplies miss by 1 − 0 = 1.0 and a skipped alternative adds
+// P(a)·(1 − 1.0) = ±0.0 to a sum that is never −0.
+func (f *treeFold) prob(i int32) float64 {
+	e := f.edges
 	total := 0.0
-	for a, set := range ix.sets[i] {
-		pa := p.probs[i][a]
-		if _, ok := set[id]; ok {
+	for k := int(f.first[i]); k < len(e) && e[k].comp == i; {
+		a := e[k].alt
+		pa := f.p.probs[i][a]
+		if e[k].child < 0 {
 			total += pa
+			for k < len(e) && e[k].comp == i && e[k].alt == a {
+				k++
+			}
 			continue
 		}
 		miss := 1.0
-		for _, ch := range p.children[i][a] {
-			miss *= 1 - p.prob(ix, ch, id)
+		for ; k < len(e) && e[k].comp == i && e[k].alt == a; k++ {
+			miss *= 1 - f.prob(e[k].child)
 		}
 		total += pa * (1 - miss)
 	}
@@ -308,24 +361,28 @@ func (p *conditionalParts) prob(ix *keySetIndex, i int, id int32) float64 {
 
 // certain computes the CERTAIN closure: the first world's answer filtered
 // to tuples some top-level relevant subtree always contributes (a tuple
-// in the certain-only answer is in every part, so the first relevant root
+// in the certain-only answer is in every part, so every relevant root
 // passes it). Order is the first world's deduplicated answer order, like
 // the flat path and the naive engine.
-func (p *conditionalParts) certain(ix *keySetIndex) (*relation.Relation, error) {
+func (p *conditionalParts) certain() (*relation.Relation, error) {
+	ix, err := buildPostings(p.d, p.parts)
+	if err != nil {
+		return nil, err
+	}
+	f := p.newTreeFold(ix)
 	world0 := p.devs[0]
 	ub := newUnionBuilder(world0)
-	seen := make(map[int32]struct{}, world0.Len())
 	var buf []byte
 	var sel []int32
 	for r, n := 0, world0.Len(); r < n; r++ {
 		buf = world0.AppendKey(buf[:0], r)
-		id := ix.intern(buf)
-		if _, dup := seen[id]; dup {
+		id, first := ix.visit(buf)
+		if !first {
 			continue
 		}
-		seen[id] = struct{}{}
-		for _, ri := range p.roots {
-			if p.always(ix, ri, id) {
+		f.load(id)
+		for _, ri := range f.roots {
+			if f.always(ri) {
 				sel = append(sel, int32(r))
 				break
 			}
@@ -336,10 +393,17 @@ func (p *conditionalParts) certain(ix *keySetIndex) (*relation.Relation, error) 
 }
 
 // conf computes the CONF closure: every possible tuple extended with
-// 1 − Π_roots (1 − p_root(t)), in the possible (first-appearance) order.
-func (p *conditionalParts) conf(ix *keySetIndex) (*relation.Relation, error) {
+// 1 − Π_roots (1 − p_root(t)), roots ascending, in the possible
+// (first-appearance) order. Only the roots holding a posting of the tuple
+// enter the product; the others would contribute the factor 1.0 exactly
+// (see prob), so the confidence bits equal the dense fold's.
+func (p *conditionalParts) conf() (*relation.Relation, error) {
+	ix, err := buildPostings(p.d, p.parts)
+	if err != nil {
+		return nil, err
+	}
+	f := p.newTreeFold(ix)
 	ub := newUnionBuilder(p.devs[0])
-	seen := make(map[int32]struct{}, len(ix.ids))
 	var buf []byte
 	var sel []int32
 	var confs []float64
@@ -350,14 +414,14 @@ func (p *conditionalParts) conf(ix *keySetIndex) (*relation.Relation, error) {
 		sel = sel[:0]
 		for r, n := 0, b.Len(); r < n; r++ {
 			buf = b.AppendKey(buf[:0], r)
-			id := ix.intern(buf)
-			if _, dup := seen[id]; dup {
+			id, first := ix.visit(buf)
+			if !first {
 				continue
 			}
-			seen[id] = struct{}{}
+			f.load(id)
 			miss := 1.0
-			for _, ri := range p.roots {
-				miss *= 1 - p.prob(ix, ri, id)
+			for _, ri := range f.roots {
+				miss *= 1 - f.prob(ri)
 			}
 			conf := 1 - miss
 			if conf > 1 {

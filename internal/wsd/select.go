@@ -430,14 +430,10 @@ func (d *WSD) SelectClosure(core *sqlparse.SelectStmt, cl Closure) (*relation.Re
 			if cl == ClosurePossible {
 				return cp.possible()
 			}
-			ix, err := cp.keySets()
-			if err != nil {
-				return nil, err
-			}
 			if cl == ClosureCertain {
-				return cp.certain(ix)
+				return cp.certain()
 			}
-			return cp.conf(ix)
+			return cp.conf()
 		}
 		routeComponentwise.Inc()
 		d.Trace.Set("route", "componentwise")
