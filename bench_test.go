@@ -15,6 +15,9 @@ package maybms
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"maybms/internal/algebra"
@@ -507,6 +510,67 @@ func BenchmarkScalingSQLClosure(b *testing.B) {
 				}
 				if got := res.First().Len(); got != 100 {
 					b.Fatalf("certain answer has %d rows, want 100", got)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkScalingSQLCertainPart sends a selective POSSIBLE and the same
+// selection as a conditional (per-world) SELECT through CompactDB.Exec over
+// an imported table with 10^4 certain rows and n two-alternative conflict
+// components. Linear plans evaluate the certain part once and each
+// alternative over its own contributions, so both statements should grow
+// with n, not with n times the certain part.
+func BenchmarkScalingSQLCertainPart(b *testing.B) {
+	const certain = 10000
+	for _, n := range []int{1000, 10000, 100000} {
+		// Even keys are certain rows, odd keys conflict: K < 200 selects 100
+		// certain rows and 100 two-alternative components at every size.
+		var csv strings.Builder
+		csv.WriteString("K,V,W\n")
+		for k := 0; k < 2*max(n, certain); k++ {
+			switch {
+			case k%2 == 0 && k/2 < certain:
+				fmt.Fprintf(&csv, "%d,0,1\n", k)
+			case k%2 == 1 && k/2 < n:
+				fmt.Fprintf(&csv, "%d,0,1\n%d,1,3\n", k, k)
+			}
+		}
+		path := filepath.Join(b.TempDir(), "dirty.csv")
+		if err := os.WriteFile(path, []byte(csv.String()), 0o644); err != nil {
+			b.Fatal(err)
+		}
+		cdb := OpenCompact()
+		if _, err := cdb.Exec(fmt.Sprintf("import into T from '%s' repair key (K) weight W", path)); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("components=%d/possible", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := cdb.Exec("select possible K, V from T where K < 200")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := res.First().Len(); got != 300 {
+					b.Fatalf("possible answer has %d rows, want 300", got)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("components=%d/conditional", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := cdb.Exec("select K, V from T where K < 200")
+				if err != nil {
+					b.Fatal(err)
+				}
+				rel := res.First()
+				base := 0
+				for _, t := range rel.Rows() {
+					if t[2].String() == "" {
+						base++
+					}
+				}
+				if rel.Len() != 300 || base != 100 {
+					b.Fatalf("conditional answer has %d rows, %d unconditioned; want 300 and 100", rel.Len(), base)
 				}
 			}
 		})

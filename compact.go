@@ -147,17 +147,15 @@ func parseCondition(cond string) (sqlparse.Expr, error) {
 }
 
 // MaterializeQuery evaluates a plain SQL query per world and stores the
-// answer as dst. The engine compiles and analyzes the query itself, so
-// touching is accepted for compatibility but no longer consulted: the
-// component-touch analysis finds every component the compiled plan reads,
-// stores the answer componentwise (no merge, linear size) when the plan
-// decomposes, and merges exactly the involved components otherwise.
-func (db *CompactDB) MaterializeQuery(dst, query string, touching ...string) error {
+// answer as dst. The component-touch analysis finds every component the
+// compiled plan reads, stores the answer componentwise (no merge, linear
+// size) when the plan decomposes, and merges exactly the involved
+// components otherwise.
+func (db *CompactDB) MaterializeQuery(dst, query string) error {
 	sel, err := parsePlainSelect(query)
 	if err != nil {
 		return err
 	}
-	_ = touching
 	return db.w.CreateTableAs(dst, sel)
 }
 

@@ -80,7 +80,7 @@ func main() {
 
 	// Materialize the married sub-population per world instead.
 	if err := cdb.MaterializeQuery("Married",
-		"select PID from Clean where Status = 'married'", "Clean"); err != nil {
+		"select PID from Clean where Status = 'married'"); err != nil {
 		fmt.Printf("materializing over all components: %v\n", err)
 		fmt.Println("(expected: the query touches every component — the naive engine or")
 		fmt.Println(" per-component queries handle this; see DESIGN.md on partial expansion)")

@@ -1,6 +1,9 @@
 package maybms
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -304,6 +307,58 @@ func TestExplainErrors(t *testing.T) {
 	}
 	if _, err := db.Exec("EXPLAIN"); err == nil {
 		t.Error("bare EXPLAIN should fail to parse")
+	}
+}
+
+// spanAttrs returns the attributes of the trace's first span named name.
+func spanAttrs(t *testing.T, tr *Trace, name string) map[string]string {
+	t.Helper()
+	for _, sp := range tr.JSON().Spans {
+		if sp.Name == name {
+			out := map[string]string{}
+			for _, a := range sp.Attrs {
+				out[a.Key] = a.Value
+			}
+			return out
+		}
+	}
+	t.Fatalf("trace has no %s span", name)
+	return nil
+}
+
+// TestExecTracedDeltaAttrs checks that the componentwise and conditional
+// spans tell a per-alternative delta evaluation (the certain part
+// evaluated once) from a full one.
+func TestExecTracedDeltaAttrs(t *testing.T) {
+	db := explainCompactDB(t)
+	// Keys 1 and 3 conflict; keys 2 and 4 import as certain rows of D.
+	path := filepath.Join(t.TempDir(), "d.csv")
+	csv := "K,A,W\n1,x,1\n1,y,3\n2,z,1\n3,u,1\n3,v,1\n4,w,1\n"
+	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(fmt.Sprintf("import into D from '%s' repair key (K) weight W", path)); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		sql, span, delta, baseRows string
+	}{
+		{"select possible K, A from D where K < 4", "componentwise", "true", "1"},
+		{"select K, A from D where K < 4", "conditional", "true", "1"},
+		// DISTINCT dedupes across components and against the certain rows:
+		// every alternative is evaluated in full.
+		{"select possible distinct A from D", "componentwise", "false", "0"},
+	}
+	for _, c := range cases {
+		_, tr, err := db.ExecTraced(c.sql)
+		if err != nil {
+			t.Fatalf("%q: %v", c.sql, err)
+		}
+		attrs := spanAttrs(t, tr, c.span)
+		if attrs["delta"] != c.delta || attrs["base_rows"] != c.baseRows {
+			t.Errorf("%q %s span: delta=%q base_rows=%q, want %s and %s",
+				c.sql, c.span, attrs["delta"], attrs["base_rows"], c.delta, c.baseRows)
+		}
 	}
 }
 

@@ -12,21 +12,19 @@ package plan
 // can be annotated with the set of components it touches. The analysis
 // itself is conditioning-agnostic: it reports which component IDs a tree
 // touches, and the caller weights each alternative by its conditioning
-// path (internal/wsd's tree folds) when closing over the answers. Subtrees touching zero
-// components are world-independent; subtrees touching one component vary
-// with that component's alternative only; and a whole tree whose operators
-// all distribute over the certain ∪ per-component-contribution structure
-// ("monotone-decomposable" below) can be evaluated per alternative of each
-// component separately — closure-style, with no component merge — even when
-// it touches arbitrarily many components.
+// path (internal/wsd's tree folds) when closing over the answers. One
+// bottom-up pass computes three nested verdicts.
 //
-// The decomposition identity that the analysis certifies is
+// Decomposable. A tree whose operators all distribute over the certain ∪
+// per-component-contribution structure satisfies
 //
 //	Q(world(a1,…,ak)) = Q(cert) ∪ Q_c1(a1) ∪ … ∪ Q_ck(ak)
 //
-// as sets, where Q evaluated against a catalog exposing the certain
-// database plus a single component's alternative yields exactly
-// Q(cert) ∪ Q_ci(ai). Operators that preserve the identity:
+// as sets, where Q_ci(ai) is Q evaluated against the certain database plus
+// the contributions of component ci's alternative ai alone. Closures
+// (possible/certain/conf) then come from Σ alternatives single-alternative
+// evaluations, with no component merge, however many components the tree
+// touches. Operators that preserve the identity:
 //
 //   - Scan: the relation itself is certain ∪ contributions.
 //   - Filter / Project whose expressions contain no subqueries over
@@ -47,6 +45,31 @@ package plan
 // reports the full component set so the caller merges exactly the involved
 // components — condensing any conditional trees among them first — and
 // never more.
+//
+// Concat. A decomposable tree whose every world's answer *bag* is Q(cert)
+// followed by the per-component contributions in component order (the
+// uncertain scans drive enumeration, and nothing dedupes or reorders across
+// components). Such answers can be stored, and shown, as the certain part
+// once plus one suffix per alternative.
+//
+// Linear. A concat tree whose answer, for every single alternative with
+// contributions Δ, is
+//
+//	Q(cert ∪ Δ) = Q(cert) ++ Q(Δ)
+//
+// as a bag, order included, where Q(Δ) reads the uncertain tables as Δ
+// alone and every certain table in full. Then Q(cert) is evaluated once
+// and each alternative only over its own contributions, O(|cert| + Σ|Δ|)
+// instead of O(|cert| · Σ alternatives). Linear nodes: table and literal
+// scans; Filter/Project whose expressions read certain data only;
+// CrossJoin/HashJoin whose linear left side drives (or probes) and whose
+// right side touches no component. Union, Distinct, Sort, Aggregate and
+// Limit are linear only over an input touching no component (a Union arm
+// or a DISTINCT over certain rows would be re-evaluated in full per
+// alternative), and a join whose right side touches a component is never
+// linear. In a linear tree that touches components, every node on the
+// left spine touches them and every other subtree is certain, which is
+// what makes the delta evaluation exact.
 
 import (
 	"fmt"
@@ -84,6 +107,12 @@ type ComponentAnalysis struct {
 	// storing the certain part once plus one contribution per alternative —
 	// with per-world tuple order identical to the merge path.
 	Concat bool
+	// Linear additionally reports that, for every single alternative with
+	// contributions Δ, Q(cert ∪ Δ) = Q(cert) ++ Q(Δ) as a bag, order
+	// included, where Q(Δ) reads uncertain tables as Δ alone and certain
+	// tables in full: the certain part is evaluated once, and each
+	// alternative over its own contributions only.
+	Linear bool
 }
 
 // compSet is a small sorted set of component IDs.
@@ -139,6 +168,7 @@ type nodeInfo struct {
 	comps  compSet
 	decomp bool // monotone-decomposable
 	concat bool // additionally concat-structured (see ComponentAnalysis)
+	linear bool // delta-evaluable (see ComponentAnalysis)
 }
 
 // AnalyzeComponents annotates op (a compiled template tree, as produced by
@@ -154,6 +184,7 @@ func AnalyzeComponents(op algebra.Operator, cc ComponentCatalog) (*ComponentAnal
 		Comps:        append([]int(nil), info.comps...),
 		Decomposable: info.decomp,
 		Concat:       info.decomp && info.concat,
+		Linear:       info.decomp && info.concat && info.linear,
 	}, nil
 }
 
@@ -165,10 +196,10 @@ func (p *Prepared) Analyze(cc ComponentCatalog) (*ComponentAnalysis, error) {
 func analyzeOp(op algebra.Operator, cc ComponentCatalog) (nodeInfo, error) {
 	switch n := op.(type) {
 	case *tableScan:
-		return nodeInfo{comps: newCompSet(cc.Components(n.table)), decomp: true, concat: true}, nil
+		return nodeInfo{comps: newCompSet(cc.Components(n.table)), decomp: true, concat: true, linear: true}, nil
 	case *algebra.Scan:
 		// Literal relation (the dual for an empty FROM): world-independent.
-		return nodeInfo{decomp: true, concat: true}, nil
+		return nodeInfo{decomp: true, concat: true, linear: true}, nil
 	case *inputScan:
 		// Split intermediates never occur in compact plans; be conservative.
 		return nodeInfo{}, fmt.Errorf("%w: split intermediate in component analysis", ErrPlan)
@@ -203,6 +234,8 @@ func analyzeOp(op algebra.Operator, cc ComponentCatalog) (nodeInfo, error) {
 			// The left arm's rows precede the right arm's, so contributions
 			// only trail the certain prefix when the left arm is certain.
 			concat: l.concat && r.concat && len(l.comps) == 0,
+			// A per-alternative evaluation would repeat the certain arm.
+			linear: l.linear && r.linear && len(l.comps)+len(r.comps) == 0,
 		}, nil
 	case *algebra.Distinct:
 		child, err := analyzeOp(n.Child, cc)
@@ -217,6 +250,8 @@ func analyzeOp(op algebra.Operator, cc ComponentCatalog) (nodeInfo, error) {
 		if len(child.comps) > 1 {
 			child.concat = false
 		}
+		// Deduping Q(Δ) alone cannot see the certain rows it duplicates.
+		child.linear = child.linear && len(child.comps) == 0
 		return child, nil
 	case *algebra.Sort:
 		child, err := analyzeOp(n.Child, cc)
@@ -226,6 +261,7 @@ func analyzeOp(op algebra.Operator, cc ComponentCatalog) (nodeInfo, error) {
 		// Set-identity, but the value order interleaves certain rows and
 		// contributions: decomposable, not concat.
 		child.concat = false
+		child.linear = child.linear && len(child.comps) == 0
 		return child, nil
 	case *algebra.Aggregate:
 		child, err := analyzeOp(n.Child, cc)
@@ -245,13 +281,14 @@ func analyzeOp(op algebra.Operator, cc ComponentCatalog) (nodeInfo, error) {
 		comps := child.comps.union(ec)
 		// A whole-input function of its input: world-independent only over a
 		// certain subtree.
-		return nodeInfo{comps: comps, decomp: len(comps) == 0, concat: len(comps) == 0}, nil
+		return nodeInfo{comps: comps, decomp: len(comps) == 0, concat: len(comps) == 0, linear: len(comps) == 0}, nil
 	case *algebra.Limit:
 		child, err := analyzeOp(n.Child, cc)
 		if err != nil {
 			return nodeInfo{}, err
 		}
-		return nodeInfo{comps: child.comps, decomp: len(child.comps) == 0, concat: len(child.comps) == 0}, nil
+		certain := len(child.comps) == 0
+		return nodeInfo{comps: child.comps, decomp: certain, concat: certain, linear: certain}, nil
 	default:
 		return nodeInfo{}, fmt.Errorf("%w: unsupported operator %T in component analysis", ErrPlan, op)
 	}
@@ -271,7 +308,7 @@ func analyzeWithExprs(child nodeInfo, cc ComponentCatalog, exprs ...expr.Expr) (
 		return child, nil
 	}
 	comps := child.comps.union(ec)
-	return nodeInfo{comps: comps, decomp: false, concat: false}, nil
+	return nodeInfo{comps: comps}, nil
 }
 
 // analyzeJoin annotates a CrossJoin or HashJoin: joins are bilinear over
@@ -296,6 +333,8 @@ func analyzeJoin(left, right algebra.Operator, cc ComponentCatalog) (nodeInfo, e
 		// the full right side, so contributions trail the certain prefix
 		// only when the right side is certain.
 		concat: l.concat && r.concat && !correlates && len(r.comps) == 0,
+		// Q(Δ) probes the certain right side with Δ's rows only.
+		linear: l.linear && len(r.comps) == 0,
 	}, nil
 }
 

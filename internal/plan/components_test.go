@@ -98,6 +98,47 @@ func TestComponentAnalysis(t *testing.T) {
 	}
 }
 
+// TestComponentAnalysisLinear pins the Linear verdicts: a plan is linear
+// when the uncertain scan drives every operator above it, so a
+// per-alternative evaluation over that alternative's contributions alone
+// yields exactly the rows beyond the certain answer.
+func TestComponentAnalysisLinear(t *testing.T) {
+	cases := []struct {
+		sql    string
+		linear bool
+	}{
+		{"select * from I", true},
+		{"select A, B from I where B = 1", true},
+		{"select B + 1 from J", true},
+		{"select I.A, S.B from I, S where I.A = S.A", true},
+		{"select I.A, S.B from I, S", true},
+		{"select A from I where B > (select max(B) from S)", true},
+		{"select A from I where exists (select * from S where S.A = I.A)", true},
+		// A certain subtree re-evaluated per alternative would repeat rows.
+		{"select A from S union all select A from I", false},
+		{"select A from I union select A from S", false},
+		{"select distinct A from J", false},
+		{"select distinct A from I", false},
+		{"select A from I order by A", false},
+		{"select sum(A) from I", false},
+		{"select A from I limit 2", false},
+		// The uncertain side must drive.
+		{"select S.B, I.A from S, I where S.A = I.A", false},
+		{"select x.A from J x, J y where x.A = y.B", false},
+		{"select I.A from I, J", false},
+		{"select A from I where exists (select * from J where J.A = I.A)", false},
+	}
+	for _, c := range cases {
+		an := analysisFixture(t, c.sql)
+		if an.Linear != c.linear {
+			t.Errorf("%q linear = %v, want %v", c.sql, an.Linear, c.linear)
+		}
+		if an.Linear && !an.Concat {
+			t.Errorf("%q is linear but not concat", c.sql)
+		}
+	}
+}
+
 func TestComponentSetOps(t *testing.T) {
 	if got := newCompSet([]int{3, 1, 2, 1, 3}); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("newCompSet = %v", got)

@@ -143,9 +143,9 @@ func (p *PreparedDML) Bind(cat Catalog, interrupt func() error) (*BoundDML, erro
 // Apply runs the row rewrite over tuples: UPDATE rewrites matching rows
 // in place (cloned), DELETE drops them. Row order is preserved exactly as
 // in the naive engine's per-world pass; changed counts the affected rows.
+// With no affected row, out is tuples itself.
 func (b *BoundDML) Apply(tuples []tuple.Tuple) (out []tuple.Tuple, changed int, err error) {
-	out = make([]tuple.Tuple, 0, len(tuples))
-	for _, t := range tuples {
+	for i, t := range tuples {
 		ctx := &expr.Context{Schema: b.sch, Tuple: t, Interrupt: b.interrupt}
 		match := true
 		if b.pred != nil {
@@ -156,8 +156,13 @@ func (b *BoundDML) Apply(tuples []tuple.Tuple) (out []tuple.Tuple, changed int, 
 			match = v.Truth()
 		}
 		if !match {
-			out = append(out, t)
+			if out != nil {
+				out = append(out, t)
+			}
 			continue
+		}
+		if out == nil {
+			out = append(make([]tuple.Tuple, 0, len(tuples)), tuples[:i]...)
 		}
 		changed++
 		if b.del {
@@ -172,6 +177,9 @@ func (b *BoundDML) Apply(tuples []tuple.Tuple) (out []tuple.Tuple, changed int, 
 			nt[b.setIdx[j]] = v
 		}
 		out = append(out, nt)
+	}
+	if changed == 0 {
+		return tuples, 0, nil
 	}
 	return out, changed, nil
 }

@@ -42,6 +42,12 @@ type Relation struct {
 	rows atomic.Pointer[rowsView]       // lazy row view of a columnar store
 	col  atomic.Pointer[colbatch.Batch] // lazy columnar view of a row-backed store
 	keys atomic.Pointer[keyIndex]
+
+	// A WithSchema view of a columnar store shares src's column vectors
+	// (srcStore, until the view's first append) and, while src still holds
+	// srcStore, reads src's rows, so src caches them once for all its views.
+	src      *Relation
+	srcStore *colbatch.Batch
 }
 
 type rowsView struct {
@@ -59,6 +65,12 @@ type keyIndex struct {
 func (r *Relation) ensure() *colbatch.Batch {
 	if r.store == nil {
 		r.store = colbatch.FromRowsShared(r.Schema, make([]tuple.Tuple, 0))
+	}
+	if r.src != nil {
+		// A view's first append takes capacity-clamped column headers of
+		// its own, so it never writes into src's vectors.
+		r.store = r.store.Slice(0, r.store.Len())
+		r.src, r.srcStore = nil, nil
 	}
 	return r.store
 }
@@ -159,6 +171,9 @@ func (r *Relation) Rows() []tuple.Tuple {
 	if v := r.rows.Load(); v != nil && v.n == n {
 		return v.rows
 	}
+	if r.src != nil && r.src.store == r.srcStore && r.srcStore.Len() == n {
+		return r.src.Rows()
+	}
 	rows := r.store.Rows()
 	r.rows.Store(&rowsView{n: n, rows: rows})
 	return rows
@@ -240,11 +255,18 @@ func (r *Relation) WithSchema(s *schema.Schema) *Relation {
 	if r.store == nil {
 		return New(s)
 	}
-	// Slice(0, n) gives a capacity-clamped view with its own column headers,
-	// so appends through the view never reach back into r.
-	b := r.store.Slice(0, r.store.Len())
-	b.Schema = s
-	return &Relation{Schema: s, store: b}
+	if r.store.RowBacked() {
+		// Slice(0, n) gives a capacity-clamped view, so appends through the
+		// view never reach back into r.
+		b := r.store.Slice(0, r.store.Len())
+		b.Schema = s
+		return &Relation{Schema: s, store: b}
+	}
+	v := &Relation{Schema: s, store: r.store.WithSchema(s), src: r, srcStore: r.store}
+	if r.src != nil {
+		v.src, v.srcStore = r.src, r.srcStore
+	}
+	return v
 }
 
 // Distinct returns the set version of r: duplicates removed, first

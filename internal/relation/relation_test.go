@@ -97,6 +97,31 @@ func TestWithSchema(t *testing.T) {
 	r.WithSchema(schema.New("X"))
 }
 
+// TestWithSchemaColumnarView checks views of a columnar store: they read
+// the source's cached rows (one materialization for all views), and
+// appends on either side never reach the other.
+func TestWithSchemaColumnarView(t *testing.T) {
+	r := FromBatch(sample().Batch())
+	alias := r.Schema.Qualify("i2")
+	v1, v2 := r.WithSchema(alias), r.WithSchema(alias).WithSchema(r.Schema)
+	rows := v1.Rows()
+	if &v2.Rows()[0] != &rows[0] || &r.Rows()[0] != &rows[0] {
+		t.Error("views of one columnar relation must share its row view")
+	}
+	v1.MustAppend(row("a9", 99))
+	if r.Len() != 3 || v1.Len() != 4 || v2.Len() != 3 {
+		t.Errorf("append through a view reached back: r=%d v1=%d v2=%d", r.Len(), v1.Len(), v2.Len())
+	}
+	if got := v1.Rows()[3]; got[0].String() != "a9" {
+		t.Errorf("appended view row = %v", got)
+	}
+	r.MustAppend(row("b1", 1))
+	r.SetRows([]tuple.Tuple{row("c1", 1)})
+	if v2.Len() != 3 || v2.Rows()[0][0].String() != rows[0][0].String() {
+		t.Errorf("view changed with its source: %v", v2.Rows())
+	}
+}
+
 func TestDistinct(t *testing.T) {
 	r := New(schema.New("A"))
 	r.MustAppend(row(1))

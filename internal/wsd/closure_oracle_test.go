@@ -9,6 +9,11 @@ package wsd
 // no-op (a factor 1.0 or a summand 0.0), so the comparison here is on row
 // order and on the IEEE bits of every conf value — the naive-vs-compact
 // tests compare conf to 1e-9 and would not notice a reordered fold.
+//
+// The same file pins the delta representation (a base answer plus, per
+// alternative, only the rows beyond it) against the full-part evaluation
+// it replaced, kept here as fullParts: closures, conditional relations and
+// CREATE TABLE AS instances must come out identical.
 
 import (
 	"fmt"
@@ -17,10 +22,12 @@ import (
 	"testing"
 
 	"maybms/internal/colbatch"
+	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/schema"
 	"maybms/internal/sqlparse"
 	"maybms/internal/tuple"
+	"maybms/internal/value"
 )
 
 // denseIndex is the reference index: per component, per alternative, the
@@ -96,7 +103,7 @@ func denseConfFromParts(t *testing.T, p *componentParts) *relation.Relation {
 	var buf []byte
 	var sel []int32
 	var confs []float64
-	err := p.emitParts(func(b *colbatch.Batch) {
+	err := p.emitParts(func(b *colbatch.Batch, _ bool) {
 		sel = sel[:0]
 		for r := 0; r < b.Len(); r++ {
 			buf = b.AppendKey(buf[:0], r)
@@ -512,24 +519,323 @@ func TestPostingClosuresMatchDenseSQL(t *testing.T) {
 					continue
 				}
 				flat++
-				parts, err := d.QueryByComponent(an.Comps, true, false, ev.batch)
+				parts, err := d.QueryByComponent(an.Comps, an, ev.batch)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
+				full, _ := fullParts(t, d, an.Comps, ev.batch)
 				gotConf, err := confFromParts(parts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertBitIdentical(t, label+" conf", gotConf, denseConfFromParts(t, parts))
+				assertBitIdentical(t, label+" conf", gotConf, denseConfFromParts(t, full))
 				gotCert, err := certainFromParts(parts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertBitIdentical(t, label+" certain", gotCert, denseCertainFromParts(parts))
+				assertBitIdentical(t, label+" certain", gotCert, denseCertainFromParts(full))
 			}
 		}
 	}
 	if flat == 0 || tree == 0 {
 		t.Fatalf("routes not exercised: flat=%d tree=%d", flat, tree)
+	}
+}
+
+// fullParts is the full-part evaluation the delta representation
+// replaced: the first world's answer and, per (component, alternative),
+// the whole answer with that alternative's contributions visible, with no
+// base. It also returns the certain-only answer Q(cert).
+func fullParts(t *testing.T, d *WSD, compIdx []int, query func(plan.Catalog) (*colbatch.Batch, error)) (*componentParts, *colbatch.Batch) {
+	t.Helper()
+	p := &componentParts{d: d, compIdx: compIdx,
+		parts: make([][]*colbatch.Batch, len(compIdx)), probs: make([][]float64, len(compIdx))}
+	var err error
+	if p.world0, err = query(d.firstWorldCatalog(compIdx)); err != nil {
+		t.Fatal(err)
+	}
+	for i, ci := range compIdx {
+		alts := d.comps[ci].Alts
+		p.parts[i] = make([]*colbatch.Batch, len(alts))
+		p.probs[i] = make([]float64, len(alts))
+		for a := range alts {
+			p.probs[i][a] = alts[a].Prob
+			if p.parts[i][a], err = query(newPartsCatalog(d, map[int]int{ci: a})); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	base, err := query(newPartsCatalog(d, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, base
+}
+
+// fullSuffixes checks that every full part starts with base and returns
+// the rows beyond it — what a concat plan stores per alternative.
+func fullSuffixes(t *testing.T, label string, full *componentParts, base *colbatch.Batch) [][][]tuple.Tuple {
+	t.Helper()
+	out := make([][][]tuple.Tuple, len(full.parts))
+	for i, alts := range full.parts {
+		out[i] = make([][]tuple.Tuple, len(alts))
+		for a, part := range alts {
+			rows := part.Rows()
+			if len(rows) < base.Len() {
+				t.Fatalf("%s: part (%d,%d) shorter than the base", label, i, a)
+			}
+			for j, b := range base.Rows() {
+				if rows[j].Key() != b.Key() {
+					t.Fatalf("%s: part (%d,%d) row %d is %v, base has %v", label, i, a, j, rows[j], b)
+				}
+			}
+			out[i][a] = rows[base.Len():]
+		}
+	}
+	return out
+}
+
+// assertRowsEqual fails unless got and want hold the same rows in order.
+func assertRowsEqual(t *testing.T, label string, got, want []tuple.Tuple) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
+	}
+	for r := range got {
+		if got[r].Key() != want[r].Key() {
+			t.Fatalf("%s row %d: %v, want %v", label, r, got[r], want[r])
+		}
+	}
+}
+
+// deltaShape counts the decomposition features the delta oracle must
+// cover.
+type deltaShape struct {
+	certainPart, certainDup, shared, single, offUnit, columnar int
+}
+
+// randomDeltaWSD builds a flat weighted decomposition: uncertain T(A, B)
+// with a random certain part, k components whose alternatives contribute
+// 0–3 rows each to T over the certain part's own domain (so contributions
+// repeat certain rows and each other; an empty one is sometimes absent
+// altogether), and certain S(A, C). Some certain
+// parts are large enough for the vectorized evaluation path.
+func randomDeltaWSD(t *testing.T, r *rand.Rand, k int, sh *deltaShape) *WSD {
+	t.Helper()
+	d := New(true)
+	tsch, ssch := schema.New("A", "B"), schema.New("A", "C")
+	draw := func() tuple.Tuple { return row(r.Intn(6), []string{"x", "y"}[r.Intn(2)]) }
+	var srows []tuple.Tuple
+	for n := 2 + r.Intn(5); n > 0; n-- {
+		srows = append(srows, row(r.Intn(6), r.Intn(5)))
+	}
+	if err := d.PutCertain("S", relation.FromRowsShared(ssch, srows)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.registerUncertain("T", tsch); err != nil {
+		t.Fatal(err)
+	}
+	nCert := r.Intn(5)
+	if r.Intn(4) == 0 {
+		nCert = 40 + r.Intn(20)
+		sh.columnar++
+	}
+	certKeys := map[string]bool{}
+	var cert []tuple.Tuple
+	for ; nCert > 0; nCert-- {
+		c := draw()
+		certKeys[c.Key()] = true
+		cert = append(cert, c)
+	}
+	if len(cert) > 0 {
+		d.certain["t"] = relation.FromRowsShared(tsch, cert)
+		sh.certainPart++
+	}
+	holders := map[string]map[int]bool{}
+	for i := 0; i < k; i++ {
+		alts := make([]Alternative, 1+r.Intn(3))
+		sum := 0.0
+		for a := range alts {
+			var rows []tuple.Tuple
+			for n := r.Intn(4); n > 0; n-- {
+				c := draw()
+				if certKeys[c.Key()] {
+					sh.certainDup++
+				}
+				if holders[c.Key()] == nil {
+					holders[c.Key()] = map[int]bool{}
+				}
+				holders[c.Key()][i] = true
+				rows = append(rows, c)
+			}
+			alts[a] = Alternative{Prob: 0.05 + r.Float64()}
+			// The first alternative always lists T, so every component feeds it.
+			if a == 0 || len(rows) > 0 || r.Intn(2) == 0 {
+				alts[a].Contrib = contribRel(tsch, "t", rows)
+			}
+			sum += alts[a].Prob
+		}
+		total := 0.0
+		for a := range alts {
+			alts[a].Prob /= sum
+			total += alts[a].Prob
+		}
+		if total != 1 {
+			sh.offUnit++
+		}
+		if _, err := d.addComponent(alts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, h := range holders {
+		if len(h) >= 2 {
+			sh.shared++
+		}
+	}
+	if k == 1 {
+		sh.single++
+	}
+	return d
+}
+
+// TestDeltaPartsMatchFullParts checks the delta representation against
+// the full-part evaluation on randomized flat decompositions: POSSIBLE,
+// CERTAIN and CONF (row order and conf bits), conditional relations and
+// CREATE TABLE AS instances. Linear queries take the delta evaluation;
+// the concat and merely decomposable ones take the sliced and the
+// base-free forms.
+func TestDeltaPartsMatchFullParts(t *testing.T) {
+	queries := []struct {
+		sql    string
+		linear bool
+	}{
+		{"select A, B from T", true},
+		{"select B, A from T where A < 4", true},
+		{"select T.A, T.B, S.C from T, S where T.A = S.A", true},
+		{"select T.B, S.C from T, S where S.C > 2", true},
+		{"select A from T where A >= (select min(A) from S)", true},
+		{"select A, B from T where exists (select * from S where S.A = T.A)", true},
+		{"select A from S union all select A from T", false},
+		{"select distinct A, B from T", false},
+		{"select A from T order by A", false},
+	}
+	r := rand.New(rand.NewSource(15))
+	var sh deltaShape
+	delta, sliced, baseFree := 0, 0, 0
+	for trial := 0; trial < 120; trial++ {
+		k := 1 + r.Intn(5)
+		if trial%4 == 0 {
+			k = 1
+		}
+		d := randomDeltaWSD(t, r, k, &sh)
+		for qi, q := range queries {
+			label := fmt.Sprintf("trial %d (k=%d) %q", trial, k, q.sql)
+			prep, ev, err := d.prepared(mustCore(t, q.sql))
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			an, err := d.analyze(prep)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if an.Linear != q.linear || !an.Decomposable || len(an.Comps) != k {
+				t.Fatalf("%s: linear=%v decomposable=%v components=%v", label, an.Linear, an.Decomposable, an.Comps)
+			}
+			p, err := d.QueryByComponent(an.Comps, an, ev.batch)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			switch {
+			case p.delta:
+				delta++
+			case p.base != nil:
+				sliced++
+			default:
+				baseFree++
+			}
+			if p.delta != an.Linear || (p.base != nil) != an.Concat {
+				t.Fatalf("%s: delta=%v base=%v for linear=%v concat=%v", label, p.delta, p.base != nil, an.Linear, an.Concat)
+			}
+			full, base := fullParts(t, d, an.Comps, ev.batch)
+
+			got, err := possibleFromParts(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := possibleFromParts(full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBitIdentical(t, label+" possible", got, want)
+			if got, err = certainFromParts(p); err != nil {
+				t.Fatal(err)
+			}
+			assertBitIdentical(t, label+" certain", got, denseCertainFromParts(full))
+			if got, err = confFromParts(p); err != nil {
+				t.Fatal(err)
+			}
+			if want, err = confFromParts(full); err != nil {
+				t.Fatal(err)
+			}
+			assertBitIdentical(t, label+" conf", got, want)
+			assertBitIdentical(t, label+" dense conf", got, denseConfFromParts(t, full))
+
+			if !an.Concat {
+				continue
+			}
+			// Conditional relation: base rows under "", then each full part's
+			// suffix under its alternative's condition.
+			suffixes := fullSuffixes(t, label, full, base)
+			cp, err := d.QueryByComponent(d.rootClosure(an.Comps), an, ev.batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cond, err := d.conditionalRelation(cp)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			var wantCond []tuple.Tuple
+			for _, b := range base.Rows() {
+				wantCond = append(wantCond, append(b.Clone(), value.Str("")))
+			}
+			for i, ci := range an.Comps {
+				for a, rows := range suffixes[i] {
+					for _, row := range rows {
+						wantCond = append(wantCond, append(row.Clone(), value.Str(fmt.Sprintf("c%d=%d", d.comps[ci].ID, a))))
+					}
+				}
+			}
+			assertRowsEqual(t, label+" conditional", cond.Rows(), wantCond)
+
+			// CREATE TABLE AS: the base is the certain part, each suffix the
+			// alternative's contribution (none when empty).
+			dst := fmt.Sprintf("M%d", qi)
+			if err := d.materializeByComponent(dst, p); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			dk := key(dst)
+			assertRowsEqual(t, label+" CTAS certain", d.certain[dk].Rows(), base.Rows())
+			for i, ci := range an.Comps {
+				for a, rows := range suffixes[i] {
+					stored, ok := d.comps[ci].Alts[a].Contrib[dk]
+					if ok != (len(rows) > 0) {
+						t.Fatalf("%s: CTAS contribution (%d,%d) stored=%v for %d rows", label, i, a, ok, len(rows))
+					}
+					if !ok {
+						continue
+					}
+					assertRowsEqual(t, fmt.Sprintf("%s CTAS (%d,%d)", label, i, a), stored.Rows(), rows)
+				}
+			}
+			if err := d.CheckInvariant(); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+		}
+	}
+	if sh.certainPart == 0 || sh.certainDup == 0 || sh.shared == 0 || sh.single == 0 || sh.offUnit == 0 || sh.columnar == 0 {
+		t.Fatalf("randomized trials missed a shape: %+v", sh)
+	}
+	if delta == 0 || sliced == 0 || baseFree == 0 {
+		t.Fatalf("representations not exercised: delta=%d sliced=%d base-free=%d", delta, sliced, baseFree)
 	}
 }

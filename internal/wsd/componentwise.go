@@ -11,6 +11,18 @@ package wsd
 // Π_c |Alts(c)| alternatives a component merge would produce, and without
 // mutating the decomposition at all.
 //
+// Every consumer reads one representation (componentParts): a base answer
+// plus, per (component, alternative), only the rows beyond it.
+//
+//   - Linear plans (plan.ComponentAnalysis.Linear) evaluate the base
+//     Q(cert) once and each alternative against a delta catalog that serves
+//     its own contributions in place of the uncertain tables, so the stage
+//     costs O(|cert| + Σ|Δ|) rather than O(|cert| · Σ alternatives).
+//   - Other concat plans evaluate every part in full and slice off the
+//     base prefix, after checking that each part really starts with it.
+//   - Other decomposable plans keep no base (nil) and full parts; the
+//     closures then evaluate the first world separately.
+//
 // The closures reproduce the naive engine's answer order exactly. The
 // naive engine closes over per-world answers in mixed-radix world order
 // (the last component varies fastest; see Expand and core's repair
@@ -20,12 +32,12 @@ package wsd
 // single-deviation worlds (one component at alternative a ≥ 2, all others
 // first), whose positions sort by reverse component order with
 // alternatives ascending. The componentwise closures therefore emit the
-// first world's full answer (one extra evaluation), then walk the
-// remaining alternatives of each component from the last involved
-// component to the first — and within each part, the relative order of a
-// deviation's new tuples equals their order in the part's own answer,
-// because every supported operator routes rows value- or
-// position-deterministically.
+// first world's answer — the base followed by every component's first
+// suffix, in component order, which is the concat structure — then walk
+// the remaining alternatives of each component from the last involved
+// component to the first. A deviation world's full answer is the base
+// (already emitted) followed by its suffix, so its new tuples are the
+// suffix's, in the suffix's order.
 //
 // Part answers are colbatch batches (the batch-native closure seam; see
 // batchclosure.go): the closures dedup on AppendKey arena keys — the same
@@ -34,16 +46,26 @@ package wsd
 // column-wise gather, materializing rows once at the end.
 //
 // CERTAIN and CONF need, per answer tuple, the (component, alternative)
-// parts that contain it. A posting index records exactly those pairs while
-// interning the part rows, and each tuple is folded over its own postings:
-// CONF multiplies miss ·= 1 − p_c over the components that hold the tuple,
-// CERTAIN asks whether one of them lists it under every alternative. The
-// closure therefore costs O(Σ|part|), the size of the part answers, not
-// O(tuples × Σ alternatives). The confidences are bit-identical to the
-// dense fold over every component: a component without the tuple has
-// p_c = 0 and multiplies miss by 1 − 0 = 1.0 exactly, so skipping it
-// changes no bit as long as the remaining factors keep component order and
-// each p_c keeps alternative order.
+// parts that contain it. A base tuple is in every part: it is certain, and
+// its confidence is the constant 1 − Π_c (1 − Σ_a p_{c,a}), computed once.
+// For the other tuples a posting index records the pairs whose suffix
+// holds them while interning the suffix rows, and each tuple is folded
+// over its own postings: CONF multiplies miss ·= 1 − p_c over the
+// components that hold the tuple, CERTAIN asks whether one of them lists
+// it under every alternative. The closure therefore costs O(|base| +
+// Σ|Δ|), not O(tuples × Σ alternatives). The confidences are bit-identical
+// to the dense fold over every component and full part:
+//
+//   - a component without the tuple has p_c = 0 and multiplies miss by
+//     1 − 0 = 1.0 exactly, so skipping it changes no bit as long as the
+//     remaining factors keep component order and each p_c keeps
+//     alternative order;
+//   - a tuple outside the base is in a full part iff it is in its suffix,
+//     so its postings are the ones the full parts would give;
+//   - a base tuple would be posted under every alternative of every
+//     component, so the dense fold computes, per tuple, exactly the
+//     base constant — the same sums in the same order, with the same
+//     single-component shortcut (Σ_a p) and the same clamp at 1.
 
 import (
 	"errors"
@@ -52,6 +74,7 @@ import (
 
 	"maybms/internal/algebra"
 	"maybms/internal/colbatch"
+	"maybms/internal/obs"
 	"maybms/internal/plan"
 	"maybms/internal/relation"
 	"maybms/internal/tuple"
@@ -156,53 +179,122 @@ func (pc partsCatalog) Lookup(name string) (*relation.Relation, error) {
 
 var _ plan.Catalog = partsCatalog{}
 
-// componentParts is the componentwise evaluation of one query: the answer
-// of the first world (every involved component at its first alternative)
-// and one answer per (component, alternative) pair, evaluated with only
-// that alternative's contributions visible. Answers are batches — columnar
-// when the evaluation ran the vectorized CollectBatch path, row-backed
-// (zero-copy over collected tuples) otherwise.
+// deltaCatalog exposes one alternative's own contributions, as a
+// plan.Catalog: a table fed by some involved component shows only the
+// alternative's contribution to it (empty when it contributes none), every
+// other table its full certain part. Evaluating a linear plan against it
+// yields exactly the rows the alternative adds beyond Q(cert).
+type deltaCatalog struct {
+	d   *WSD
+	fed map[string]bool // tables fed by an involved component
+	alt *Alternative
+}
+
+// Lookup implements plan.Catalog, passing stored relations through
+// zero-copy like partsCatalog's single-source paths.
+func (dc deltaCatalog) Lookup(name string) (*relation.Relation, error) {
+	k := key(name)
+	sch, ok := dc.d.schemas[k]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknown, name)
+	}
+	rel := dc.d.certain[k]
+	if dc.fed[k] {
+		rel = dc.alt.Contrib[k]
+	}
+	switch {
+	case rel == nil:
+		return relation.New(sch), nil
+	case rel.Schema == sch:
+		return rel, nil
+	default:
+		return rel.WithSchema(sch), nil
+	}
+}
+
+var _ plan.Catalog = deltaCatalog{}
+
+// fedTables lists the tables the given components contribute to. Every
+// table a plan reads that some component feeds has all its feeding
+// components among the plan's touched ones, so for a linear plan this is
+// exactly the set of uncertain tables it scans (plus unread ones).
+func (d *WSD) fedTables(compIdx []int) map[string]bool {
+	fed := map[string]bool{}
+	for _, ci := range compIdx {
+		for _, alt := range d.comps[ci].Alts {
+			for k := range alt.Contrib {
+				fed[k] = true
+			}
+		}
+	}
+	return fed
+}
+
+// componentParts is the componentwise evaluation of one query: the base
+// answer and one answer per (component, alternative) pair, each holding
+// only the rows beyond the base. Answers are batches — columnar when the
+// evaluation ran the vectorized CollectBatch path, row-backed (zero-copy
+// over collected tuples) otherwise.
 type componentParts struct {
 	d       *WSD
 	compIdx []int // indexes into d.comps, ascending
-	// world0 is the first world's full answer; nil unless requested.
-	world0 *colbatch.Batch
-	// base is the certain-only answer Q(cert); nil unless requested.
+	// base is Q(cert), the prefix of every world's answer; nil when the plan
+	// is not concat-structured, and then parts are full answers.
 	base *colbatch.Batch
-	// parts[i][a] is the answer with component compIdx[i] at alternative a.
+	// world0 is the first world's full answer when base is nil; with a
+	// base, the first world is the base followed by every component's
+	// first-alternative part.
+	world0 *colbatch.Batch
+	// parts[i][a] is what component compIdx[i] at alternative a adds beyond
+	// the base (its full answer when base is nil).
 	parts [][]*colbatch.Batch
 	// probs[i][a] is the alternative's probability.
 	probs [][]float64
+	// delta reports that the parts came from delta-catalog evaluations
+	// (linear plans) rather than from full evaluations.
+	delta bool
+}
+
+// setPartsAttrs records on a span which evaluation produced the parts:
+// delta (per-alternative delta evaluation of a linear plan) and the size
+// of the base answer evaluated once.
+func setPartsAttrs(sp *obs.Span, p *componentParts) {
+	baseRows := 0
+	if p.base != nil {
+		baseRows = p.base.Len()
+	}
+	sp.Set("delta", p.delta)
+	sp.Set("base_rows", baseRows)
 }
 
 // QueryByComponent evaluates query once per alternative of each listed
 // component — Σ sizes evaluations on the worker pool, no merge, no
-// mutation of the decomposition. withWorld0 additionally evaluates the
-// first world (all listed components at alternative 0); withBase
-// additionally evaluates the certain-only answer. query must be safe for
-// concurrent calls.
-func (d *WSD) QueryByComponent(compIdx []int, withWorld0, withBase bool, query func(cat plan.Catalog) (*colbatch.Batch, error)) (*componentParts, error) {
+// mutation of the decomposition — and returns them in the form an
+// analysis allows (see the file comment): base plus delta evaluations for
+// linear plans, base plus sliced full evaluations for other concat plans
+// (no base if some part does not start with it), full evaluations plus the
+// first world's answer otherwise. query must be safe for concurrent calls.
+func (d *WSD) QueryByComponent(compIdx []int, an *plan.ComponentAnalysis, query func(cat plan.Catalog) (*colbatch.Batch, error)) (*componentParts, error) {
 	out := &componentParts{
 		d:       d,
 		compIdx: compIdx,
 		parts:   make([][]*colbatch.Batch, len(compIdx)),
 		probs:   make([][]float64, len(compIdx)),
+		delta:   an.Linear,
 	}
 	// Flatten every evaluation into one task list for the pool.
 	type task struct {
-		sel map[int]int
+		cat plan.Catalog
 		dst **colbatch.Batch
 	}
-	var tasks []task
-	if withWorld0 {
-		first := make(map[int]int, len(compIdx))
-		for _, ci := range compIdx {
-			first[ci] = 0
-		}
-		tasks = append(tasks, task{sel: first, dst: &out.world0})
+	head := task{cat: newPartsCatalog(d, nil), dst: &out.base}
+	if !an.Concat {
+		head = task{cat: d.firstWorldCatalog(compIdx), dst: &out.world0}
 	}
-	if withBase {
-		tasks = append(tasks, task{sel: map[int]int{}, dst: &out.base})
+	tasks := []task{head}
+	var fed map[string]bool
+	if an.Linear {
+		fed = d.fedTables(compIdx)
 	}
 	for i, ci := range compIdx {
 		alts := d.comps[ci].Alts
@@ -210,11 +302,15 @@ func (d *WSD) QueryByComponent(compIdx []int, withWorld0, withBase bool, query f
 		out.probs[i] = make([]float64, len(alts))
 		for a := range alts {
 			out.probs[i][a] = alts[a].Prob
-			tasks = append(tasks, task{sel: map[int]int{ci: a}, dst: &out.parts[i][a]})
+			var cat plan.Catalog = deltaCatalog{d: d, fed: fed, alt: &alts[a]}
+			if !an.Linear {
+				cat = newPartsCatalog(d, map[int]int{ci: a})
+			}
+			tasks = append(tasks, task{cat: cat, dst: &out.parts[i][a]})
 		}
 	}
 	results, err := mapAlts(d, len(tasks), func(ti int) (*colbatch.Batch, error) {
-		return query(newPartsCatalog(d, tasks[ti].sel))
+		return query(tasks[ti].cat)
 	})
 	if err != nil {
 		return nil, err
@@ -222,29 +318,107 @@ func (d *WSD) QueryByComponent(compIdx []int, withWorld0, withBase bool, query f
 	for ti := range tasks {
 		*tasks[ti].dst = results[ti]
 	}
+	if an.Concat && !an.Linear && !out.sliceBase() {
+		// Structural analysis promised a certain-prefixed answer but the
+		// evaluation disagreed: keep the full parts, with no base.
+		out.base = nil
+		if out.world0, err = query(d.firstWorldCatalog(compIdx)); err != nil {
+			return nil, err
+		}
+	}
 	return out, nil
+}
+
+// firstWorldCatalog selects every listed component's first alternative.
+func (d *WSD) firstWorldCatalog(compIdx []int) partsCatalog {
+	first := make(map[int]int, len(compIdx))
+	for _, ci := range compIdx {
+		first[ci] = 0
+	}
+	return newPartsCatalog(d, first)
+}
+
+// sliceBase replaces every full part by its suffix beyond the base. It
+// reports false, changing nothing, when some part does not start with the
+// base rows — the positional check of the concat structure.
+func (p *componentParts) sliceBase() bool {
+	baseLen := p.base.Len()
+	if baseLen == 0 {
+		return true
+	}
+	baseKeys := make([]string, baseLen)
+	var buf []byte
+	for i := range baseKeys {
+		baseKeys[i] = string(p.base.AppendKey(buf[:0], i))
+	}
+	for _, alts := range p.parts {
+		for _, part := range alts {
+			if part.Len() < baseLen {
+				return false
+			}
+			for j, k := range baseKeys {
+				// string(buf) in a comparison does not allocate.
+				buf = part.AppendKey(buf[:0], j)
+				if string(buf) != k {
+					return false
+				}
+			}
+		}
+	}
+	for _, alts := range p.parts {
+		for a, part := range alts {
+			alts[a] = part.Slice(baseLen, part.Len())
+		}
+	}
+	return true
+}
+
+// firstWorld returns the first world's answer as a batch sequence: the
+// base followed by every component's first-alternative part, or world0
+// when there is no base.
+func (p *componentParts) firstWorld() []*colbatch.Batch {
+	if p.base == nil {
+		return []*colbatch.Batch{p.world0}
+	}
+	out := make([]*colbatch.Batch, 0, 1+len(p.parts))
+	out = append(out, p.base)
+	for _, alts := range p.parts {
+		out = append(out, alts[0])
+	}
+	return out
 }
 
 // emitParts walks the closure emission order — the first world's answer,
 // then the remaining alternatives of each component from the last involved
-// component to the first — calling fn with every part batch in sequence.
-// Deduplication is the caller's (fn's) business. The Interrupt hook is
-// polled once per part, like the merge path's closure fold, so deadlined
-// requests abort the fold too.
-func (p *componentParts) emitParts(fn func(b *colbatch.Batch)) error {
-	if err := p.d.interrupted(); err != nil {
-		return err
+// component to the first — calling fn with every part batch in sequence;
+// isBase marks the base batch. Deduplication is the caller's (fn's)
+// business. The Interrupt hook is polled once per part, like the merge
+// path's closure fold, so deadlined requests abort the fold too.
+func (p *componentParts) emitParts(fn func(b *colbatch.Batch, isBase bool)) error {
+	for j, b := range p.firstWorld() {
+		if err := p.d.interrupted(); err != nil {
+			return err
+		}
+		fn(b, j == 0 && p.base != nil)
 	}
-	fn(p.world0)
 	for i := len(p.compIdx) - 1; i >= 0; i-- {
 		for a := 1; a < len(p.parts[i]); a++ {
 			if err := p.d.interrupted(); err != nil {
 				return err
 			}
-			fn(p.parts[i][a])
+			fn(p.parts[i][a], false)
 		}
 	}
 	return nil
+}
+
+// model is the batch the closure output takes its mode and schema from:
+// the first one emitted.
+func (p *componentParts) model() *colbatch.Batch {
+	if p.base != nil {
+		return p.base
+	}
+	return p.world0
 }
 
 // posting is one (component, alternative) pair whose part answer contains
@@ -338,11 +512,11 @@ func (ix *postingIndex) visit(buf []byte) (int32, bool) {
 // possibleFromParts computes the POSSIBLE closure: every tuple in some
 // part, in the naive engine's first-appearance order.
 func possibleFromParts(p *componentParts) (*relation.Relation, error) {
-	ub := newUnionBuilder(p.world0)
+	ub := newUnionBuilder(p.model())
 	seen := map[string]struct{}{}
 	var buf []byte
 	var sel []int32
-	err := p.emitParts(func(b *colbatch.Batch) {
+	err := p.emitParts(func(b *colbatch.Batch, _ bool) {
 		sel = sel[:0]
 		for r, n := 0, b.Len(); r < n; r++ {
 			// Scratch-encode and probe before inserting: duplicate tuples
@@ -359,73 +533,89 @@ func possibleFromParts(p *componentParts) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ub.finish(p.world0.Schema), nil
+	return ub.finish(p.model().Schema), nil
 }
 
 // certainFromParts computes the CERTAIN closure: a tuple is in every world
 // iff it is in the certain-only answer or some component contributes it
-// under *every* alternative — by independence, the exact criterion. A
-// tuple's postings are deduplicated per part, so a component lists it under
-// all alternatives iff it has as many postings as alternatives. The order
-// is the first world's answer order (the naive engine intersects into the
-// first world's deduplicated answer).
+// under *every* alternative — by independence, the exact criterion. Base
+// tuples are the certain-only answer; without a base, a full part holds
+// it and the posting criterion finds it. A tuple's postings are
+// deduplicated per part, so a component lists it under all alternatives
+// iff it has as many postings as alternatives. The order is the first
+// world's answer order (the naive engine intersects into the first world's
+// deduplicated answer).
 func certainFromParts(p *componentParts) (*relation.Relation, error) {
 	ix, err := buildPostings(p.d, p.parts)
 	if err != nil {
 		return nil, err
 	}
-	ub := newUnionBuilder(p.world0)
+	ub := newUnionBuilder(p.model())
 	var buf []byte
 	var sel []int32
-	for r, n := 0, p.world0.Len(); r < n; r++ {
-		buf = p.world0.AppendKey(buf[:0], r)
-		id, first := ix.visit(buf)
-		if !first {
-			continue
-		}
-		for k := ix.head[id]; k >= 0; {
-			c, alts := ix.post[k].comp, 0
-			for ; k >= 0 && ix.post[k].comp == c; k = ix.post[k].next {
-				alts++
+	for j, b := range p.firstWorld() {
+		isBase := j == 0 && p.base != nil
+		sel = sel[:0]
+		for r, n := 0, b.Len(); r < n; r++ {
+			buf = b.AppendKey(buf[:0], r)
+			id, first := ix.visit(buf)
+			if !first {
+				continue
 			}
-			if alts == len(p.parts[c]) {
+			if isBase {
 				sel = append(sel, int32(r))
-				break
+				continue
+			}
+			for k := ix.head[id]; k >= 0; {
+				c, alts := ix.post[k].comp, 0
+				for ; k >= 0 && ix.post[k].comp == c; k = ix.post[k].next {
+					alts++
+				}
+				if alts == len(p.parts[c]) {
+					sel = append(sel, int32(r))
+					break
+				}
 			}
 		}
+		ub.addSel(b, sel)
 	}
-	ub.addSel(p.world0, sel)
-	return ub.finish(p.world0.Schema), nil
+	return ub.finish(p.model().Schema), nil
 }
 
 // confFromParts computes the CONF closure: every possible tuple extended
 // with its exact confidence 1 − Π_c (1 − p_c(t)), where p_c(t) is the
 // total probability of component c's alternatives whose part contains the
-// tuple. A tuple in the certain-only answer is in every part, making every
-// p_c = 1 and the confidence 1. Tuple order is the possible order.
+// tuple. Tuple order is the possible order.
 //
 // The product runs over the components that post the tuple only, in
 // component order, each p_c summed in alternative order. That is
 // bit-identical to the dense product over every component: a component
 // without the tuple has p_c = 0 and contributes the factor 1 − 0 = 1.0
-// exactly, and miss·1.0 = miss in IEEE arithmetic.
+// exactly, and miss·1.0 = miss in IEEE arithmetic. Base tuples, in every
+// part, share one constant (baseConf).
 func confFromParts(p *componentParts) (*relation.Relation, error) {
 	ix, err := buildPostings(p.d, p.parts)
 	if err != nil {
 		return nil, err
 	}
-	ub := newUnionBuilder(p.world0)
+	baseConf := p.baseConf()
+	ub := newUnionBuilder(p.model())
 	var buf []byte
 	var sel []int32
 	var confs []float64
-	err = p.emitParts(func(b *colbatch.Batch) {
+	err = p.emitParts(func(b *colbatch.Batch, isBase bool) {
 		sel = sel[:0]
 		for r, n := 0, b.Len(); r < n; r++ {
 			// Part rows were interned by buildPostings, so the probe
-			// allocates only for world0-only tuples.
+			// allocates only for base and world0-only tuples.
 			buf = b.AppendKey(buf[:0], r)
 			id, first := ix.visit(buf)
 			if !first {
+				continue
+			}
+			sel = append(sel, int32(r))
+			if isBase {
+				confs = append(confs, baseConf)
 				continue
 			}
 			miss, pc := 1.0, 0.0
@@ -437,85 +627,87 @@ func confFromParts(p *componentParts) (*relation.Relation, error) {
 				}
 				miss *= 1 - pc
 			}
-			conf := 1 - miss
-			if len(p.parts) == 1 {
-				// A single component's confidence is the plain probability sum,
-				// accumulated in alternative order — bit-identical to the merge
-				// path and the naive engine (1 − (1 − p) would lose ulps).
-				conf = pc
-			}
-			if conf > 1 {
-				conf = 1 // clamp float accumulation noise
-			}
-			sel = append(sel, int32(r))
-			confs = append(confs, conf)
+			confs = append(confs, closeConf(miss, pc, len(p.parts)))
 		}
 		ub.addSel(b, sel)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return ub.finishConf(p.world0.Schema.Concat(confSchema()), confs), nil
+	return ub.finishConf(p.model().Schema.Concat(confSchema()), confs), nil
+}
+
+// baseConf is the confidence of a base tuple: posted under every
+// alternative of every component, it folds to 1 − Π_c (1 − Σ_a p_{c,a})
+// with the components in order and each sum in alternative order —
+// exactly the posting fold's arithmetic for such a tuple.
+func (p *componentParts) baseConf() float64 {
+	miss, pc := 1.0, 0.0
+	for _, probs := range p.probs {
+		pc = 0.0
+		for _, pa := range probs {
+			pc += pa
+		}
+		miss *= 1 - pc
+	}
+	return closeConf(miss, pc, len(p.probs))
+}
+
+// closeConf turns a folded miss probability into a confidence. A single
+// component's confidence is its plain probability sum last, accumulated in
+// alternative order — bit-identical to the merge path and the naive engine
+// (1 − (1 − p) would lose ulps). Float accumulation noise above 1 is
+// clamped.
+func closeConf(miss, last float64, comps int) float64 {
+	conf := 1 - miss
+	if comps == 1 {
+		conf = last
+	}
+	if conf > 1 {
+		conf = 1
+	}
+	return conf
 }
 
 // materializeByComponent stores the answer of a concat-structured
-// decomposable query as relation dst without merging: the certain-only
-// answer becomes dst's certain part, and each (component, alternative)
-// part contributes its suffix beyond that prefix to the alternative. Every
+// decomposable query as relation dst without merging: the base answer
+// becomes dst's certain part, and each (component, alternative) part — the
+// rows beyond the base — becomes the alternative's contribution. Every
 // world's dst instance — certain part followed by contributions in
 // component order — is tuple-for-tuple identical to what the merge path
-// would have stored. The concat structure is verified positionally; a
-// violation returns errNotConcat and the caller falls back to the merge
-// path. Part answers are stored as the new relations' backing batches —
-// columnar parts land as zero-copy columnar slices (identity for later
+// would have stored. Parts without a base (the concat structure failed its
+// positional check) return errNotConcat and the caller falls back to the
+// merge path. Part answers are stored as the new relations' backing
+// batches — columnar parts as zero-copy columnar views (identity for later
 // scans), row-backed parts as shared row slices.
-func (d *WSD) materializeByComponent(dst string, compIdx []int, query func(cat plan.Catalog) (*colbatch.Batch, error)) error {
-	p, err := d.QueryByComponent(compIdx, false, true, query)
-	if err != nil {
-		return err
-	}
-	baseLen := p.base.Len()
-	baseKeys := make([]string, baseLen)
-	var buf []byte
-	for i := 0; i < baseLen; i++ {
-		baseKeys[i] = string(p.base.AppendKey(buf[:0], i))
-	}
-	for i := range p.parts {
-		for _, part := range p.parts[i] {
-			if part.Len() < baseLen {
-				return errNotConcat
-			}
-			for j, k := range baseKeys {
-				// string(buf) in a comparison does not allocate.
-				buf = part.AppendKey(buf[:0], j)
-				if string(buf) != k {
-					return errNotConcat
-				}
-			}
-		}
+func (d *WSD) materializeByComponent(dst string, p *componentParts) error {
+	if p.base == nil {
+		return errNotConcat
 	}
 	if err := d.registerUncertain(dst, p.base.Schema); err != nil {
 		return err
 	}
 	k := key(dst)
-	if baseLen > 0 {
-		base := p.base.Slice(0, baseLen)
-		base.Schema = d.schemas[k]
-		d.certain[k] = relation.FromBatch(base)
+	// Views under dst's schema: the evaluated batches may be stored state
+	// of the source relations, whose headers must not change.
+	view := func(b *colbatch.Batch) *relation.Relation {
+		v := b.Slice(0, b.Len())
+		v.Schema = d.schemas[k]
+		return relation.FromBatch(v)
 	}
-	for i, ci := range compIdx {
+	if p.base.Len() > 0 {
+		d.certain[k] = view(p.base)
+	}
+	for i, ci := range p.compIdx {
 		comp := d.comps[ci]
-		for a := range p.parts[i] {
-			part := p.parts[i][a]
-			if part.Len() <= baseLen {
+		for a, part := range p.parts[i] {
+			if part.Len() == 0 {
 				continue
 			}
-			view := part.Slice(baseLen, part.Len())
-			view.Schema = d.schemas[k]
 			if comp.Alts[a].Contrib == nil {
 				comp.Alts[a].Contrib = map[string]*relation.Relation{}
 			}
-			comp.Alts[a].Contrib[k] = relation.FromBatch(view)
+			comp.Alts[a].Contrib[k] = view(part)
 		}
 	}
 	return nil

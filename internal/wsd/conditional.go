@@ -455,55 +455,35 @@ func (d *WSD) condFor(byID map[int]int, c *Component, a int) string {
 // conditionalRelation answers a plain SELECT whose result varies across
 // worlds as a conditional relation: the query schema plus a trailing
 // `cond` column. Base rows (the certain-only answer) carry cond = "";
-// each (relevant component, alternative) part contributes its suffix
-// beyond the base prefix under that pair's activation condition,
-// components in list order, alternatives ascending. A world's answer is
-// the base rows followed by the suffix rows whose conditions the world's
-// alternative selection satisfies, in emission order — tuple-for-tuple
-// the naive engine's per-world answer. The concat structure is verified
-// positionally; a violation returns errNotConcat and the caller refuses.
-func (d *WSD) conditionalRelation(touched []int, query func(cat plan.Catalog) (*colbatch.Batch, error)) (*relation.Relation, error) {
-	relevant := d.rootClosure(touched)
-	p, err := d.QueryByComponent(relevant, false, true, query)
-	if err != nil {
-		return nil, err
-	}
-	baseLen := p.base.Len()
-	baseKeys := make([]string, baseLen)
-	var buf []byte
-	for i := 0; i < baseLen; i++ {
-		baseKeys[i] = string(p.base.AppendKey(buf[:0], i))
-	}
-	for i := range p.parts {
-		for _, part := range p.parts[i] {
-			if part.Len() < baseLen {
-				return nil, errNotConcat
-			}
-			for j, k := range baseKeys {
-				buf = part.AppendKey(buf[:0], j)
-				if string(buf) != k {
-					return nil, errNotConcat
-				}
-			}
-		}
+// each (relevant component, alternative) part — the rows beyond the base —
+// follows under that pair's activation condition, components in list
+// order, alternatives ascending. A world's answer is the base rows
+// followed by the part rows whose conditions the world's alternative
+// selection satisfies, in emission order — tuple-for-tuple the naive
+// engine's per-world answer. p must cover the root closure of the touched
+// components; parts without a base (the concat structure failed its
+// positional check) return errNotConcat and the caller refuses.
+func (d *WSD) conditionalRelation(p *componentParts) (*relation.Relation, error) {
+	if p.base == nil {
+		return nil, errNotConcat
 	}
 	byID := d.compIndexByID()
 	outSch := p.base.Schema.Concat(condSchema())
-	rows := make([]tuple.Tuple, 0, baseLen)
+	rows := make([]tuple.Tuple, 0, p.base.Len())
 	for _, t := range p.base.Rows() {
 		rows = append(rows, append(t.Clone(), value.Str("")))
 	}
-	for i, ci := range relevant {
+	for i, ci := range p.compIdx {
 		c := d.comps[ci]
 		for a, part := range p.parts[i] {
 			if err := d.interrupted(); err != nil {
 				return nil, err
 			}
-			if part.Len() <= baseLen {
+			if part.Len() == 0 {
 				continue
 			}
 			cond := value.Str(d.condFor(byID, c, a))
-			for _, t := range part.Rows()[baseLen:] {
+			for _, t := range part.Rows() {
 				rows = append(rows, append(t.Clone(), cond))
 			}
 		}

@@ -160,6 +160,9 @@ func (d *WSD) rewritePieces(table string, tmpl *plan.PreparedDML) (int, error) {
 
 	total := 0
 	for i, p := range pieces {
+		if outs[i].changed == 0 {
+			continue // the stored piece stays as it is
+		}
 		total += outs[i].changed
 		if p.ci < 0 {
 			d.certain[k] = relation.FromRowsShared(d.schemas[k], outs[i].tuples)

@@ -119,7 +119,7 @@ func (d *WSD) GroupWorldsClosure(gw, core *sqlparse.SelectStmt, cl Closure) ([]G
 	// closure shared across groups.
 	var groups []groupInfo
 	if gwAn.Decomposable {
-		groups, err = d.groupsByComponent(gwAn.Comps, gwEv.batch)
+		groups, err = d.groupsByComponent(gwAn, gwEv.batch)
 		if err != nil {
 			return nil, err
 		}
@@ -222,8 +222,9 @@ func canonOf(keys []string) string {
 // Groups are returned in the naive engine's first-appearance order (the
 // frontier enumerates alternative selections lexicographically, earlier
 // components more significant, exactly like the world odometer).
-func (d *WSD) groupsByComponent(compIdx []int, eval func(cat plan.Catalog) (*colbatch.Batch, error)) ([]groupInfo, error) {
-	parts, err := d.QueryByComponent(compIdx, false, true, eval)
+func (d *WSD) groupsByComponent(an *plan.ComponentAnalysis, eval func(cat plan.Catalog) (*colbatch.Batch, error)) ([]groupInfo, error) {
+	compIdx := an.Comps
+	parts, err := d.QueryByComponent(compIdx, an, eval)
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +243,12 @@ func (d *WSD) groupsByComponent(compIdx []int, eval func(cat plan.Catalog) (*col
 		keys []string
 		prob float64
 	}
-	frontier := []entry{{keys: sortedBatchKeys(parts.base), prob: oneIfWeighted(d.Weighted)}}
+	// Without a base the parts are full answers, each holding Q(cert).
+	var baseKeys []string
+	if parts.base != nil {
+		baseKeys = sortedBatchKeys(parts.base)
+	}
+	frontier := []entry{{keys: baseKeys, prob: oneIfWeighted(d.Weighted)}}
 	for i := range compIdx {
 		var next []entry
 		index := map[string]int{}
@@ -340,7 +346,7 @@ func (d *WSD) closePerGroup(groups []groupInfo, qAn *plan.ComponentAnalysis, qEv
 			return nil, err
 		}
 	case qAn.Decomposable && !d.DisableComponentwise:
-		parts, err := d.QueryByComponent(qAn.Comps, true, false, qEv.batch)
+		parts, err := d.QueryByComponent(qAn.Comps, qAn, qEv.batch)
 		if err != nil {
 			return nil, err
 		}

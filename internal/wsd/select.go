@@ -388,8 +388,14 @@ func (d *WSD) SelectClosure(core *sqlparse.SelectStmt, cl Closure) (*relation.Re
 			d.Trace.Set("route", "conditional")
 			sp := d.Trace.Begin("conditional")
 			sp.Set("components", len(an.Comps))
-			sp.Set("conditional_splits", d.nestedAmong(d.rootClosure(an.Comps)))
-			res, err := d.conditionalRelation(an.Comps, ev.batch)
+			relevant := d.rootClosure(an.Comps)
+			sp.Set("conditional_splits", d.nestedAmong(relevant))
+			p, err := d.QueryByComponent(relevant, an, ev.batch)
+			var res *relation.Relation
+			if err == nil {
+				setPartsAttrs(sp, p)
+				res, err = d.conditionalRelation(p)
+			}
 			sp.End(d.Trace)
 			if err == nil {
 				d.conditional.Add(1)
@@ -419,6 +425,9 @@ func (d *WSD) SelectClosure(core *sqlparse.SelectStmt, cl Closure) (*relation.Re
 			sp := d.Trace.Begin("conditional")
 			sp.Set("components", len(an.Comps))
 			sp.Set("conditional_splits", d.nestedAmong(d.rootClosure(an.Comps)))
+			// The tree route evaluates full parts.
+			sp.Set("delta", false)
+			sp.Set("base_rows", 0)
 			cp, err := d.queryConditional(an.Comps, ev.batch)
 			sp.End(d.Trace)
 			if err != nil {
@@ -439,11 +448,13 @@ func (d *WSD) SelectClosure(core *sqlparse.SelectStmt, cl Closure) (*relation.Re
 		d.Trace.Set("route", "componentwise")
 		sp := d.Trace.Begin("componentwise")
 		sp.Set("components", len(an.Comps))
-		parts, err := d.QueryByComponent(an.Comps, true, false, ev.batch)
-		sp.End(d.Trace)
+		parts, err := d.QueryByComponent(an.Comps, an, ev.batch)
 		if err != nil {
+			sp.End(d.Trace)
 			return nil, err
 		}
+		setPartsAttrs(sp, parts)
+		sp.End(d.Trace)
 		d.componentwise.Add(1)
 		csp := d.Trace.Begin("closure")
 		defer csp.End(d.Trace)
@@ -514,7 +525,10 @@ func (d *WSD) CreateTableAs(dst string, core *sqlparse.SelectStmt) error {
 		return d.PutCertain(dst, res.WithSchema(res.Schema.Unqualify()))
 	}
 	if an.Concat && !d.DisableComponentwise {
-		err := d.materializeByComponent(dst, an.Comps, ev.batch)
+		p, err := d.QueryByComponent(an.Comps, an, ev.batch)
+		if err == nil {
+			err = d.materializeByComponent(dst, p)
+		}
 		if err == nil {
 			d.componentwise.Add(1)
 			return nil

@@ -157,7 +157,7 @@ func TestCompactAssertAndMaterialize(t *testing.T) {
 		t.Fatalf("worlds after assert = %s", cdb.WorldCount())
 	}
 	// Materialize a selection per world (Example 2.2 shape).
-	if err := cdb.MaterializeQuery("D2", "select * from I where A = 'a3'", "I"); err != nil {
+	if err := cdb.MaterializeQuery("D2", "select * from I where A = 'a3'"); err != nil {
 		t.Fatal(err)
 	}
 	cert, err := cdb.Certain("D2")
